@@ -14,11 +14,12 @@ Run:  python examples/tuned_deployment.py
 
 from pathlib import Path
 
-from repro.apps import MixedProxyApp, Phase
+from repro.apps import MixedProxyApp
 from repro.bench import MicroBenchmark, TuningCampaign
 from repro.reporting import render_table
 from repro.selection import SelectionTable
 from repro.sim.platform import get_machine
+from repro.workloads import CollectivePhase
 
 MACHINE = "galileo100"
 NODES, CORES = 8, 4
@@ -26,9 +27,9 @@ NODES, CORES = 8, 4
 # A CFD-ish timestep: transpose-heavy Alltoall, residual Allreduce,
 # occasional control Bcast.
 PHASES = (
-    Phase("alltoall", 32768.0, count=16),
-    Phase("allreduce", 8.0, count=8),
-    Phase("bcast", 4096.0, count=16),
+    CollectivePhase("alltoall", 32768.0, count=16),
+    CollectivePhase("allreduce", 8.0, count=8),
+    CollectivePhase("bcast", 4096.0, count=16),
 )
 
 

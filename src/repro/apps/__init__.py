@@ -12,14 +12,13 @@ Allreduce-dominant counterpart.
 from repro.apps.base import AppResult, IterativeProxyApp
 from repro.apps.ft import FTProxy
 from repro.apps.cg import CGProxy
-from repro.apps.mixed import MixedAppResult, MixedProxyApp, Phase
+from repro.apps.mixed import MixedAppResult, MixedProxyApp
 
 __all__ = [
     "AppResult",
     "IterativeProxyApp",
     "FTProxy",
     "CGProxy",
-    "Phase",
     "MixedProxyApp",
     "MixedAppResult",
 ]

@@ -3,8 +3,9 @@
 An :class:`IterativeProxyApp` alternates noise-perturbed compute phases with
 collective calls — the skeleton of bulk-synchronous applications like the
 NAS benchmarks.  Per-rank compute and MPI time are accounted separately,
-standing in for the paper's mpisee profiling, and an optional
-:class:`~repro.tracing.tracer.CollectiveTracer` records arrival patterns.
+standing in for the paper's mpisee profiling, and every run records its
+collective calls as obs rank spans, returned as a
+:class:`~repro.obs.analysis.TraceAnalysis` for arrival-pattern extraction.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.collectives import CollArgs, make_input, run_collective
+from repro.obs.analysis import TraceAnalysis
 from repro.sim.mpi import run_processes
 from repro.sim.network import NetworkParams
 from repro.sim.noise import NoiseModel
 from repro.sim.platform import MachineSpec, Platform
-from repro.tracing.tracer import CollectiveTracer
 
 
 @dataclass
@@ -30,6 +32,9 @@ class AppResult:
     rank_compute_time: np.ndarray = field(repr=False)
     rank_mpi_time: np.ndarray = field(repr=False)
     collective_calls: int = 0
+    #: The run's recorded collective calls (one rank span per rank per
+    #: call) — the source of the Section V-A arrival-pattern reconstruction.
+    trace: TraceAnalysis | None = field(default=None, repr=False, compare=False)
 
     @property
     def compute_time(self) -> float:
@@ -90,8 +95,13 @@ class IterativeProxyApp:
         return cls(platform=platform, params=NetworkParams(**spec.network),
                    noise=noise, **kwargs)
 
-    def run(self, tracer: CollectiveTracer | None = None) -> AppResult:
-        """Execute the proxy app; returns profile accounting."""
+    def run(self) -> AppResult:
+        """Execute the proxy app; returns profile accounting and its trace.
+
+        The program runs in a nested span-recording obs session, whose
+        metrics, engine stats and spans then fold into the enclosing session
+        (if any) the way the executor folds a cell's telemetry.
+        """
         p = self.platform.num_ranks
         args = CollArgs(count=self.count, msg_bytes=self.msg_bytes)
         inputs = [make_input(self.collective, r, p, self.count) for r in range(p)]
@@ -112,18 +122,25 @@ class IterativeProxyApp:
                     yield ctx.compute(compute_chunk)
                     entered = ctx.time()
                     compute_total += entered - before
-                    if tracer is not None:
-                        yield from tracer.traced(ctx, collective, algorithm, args, inputs[me])
-                    else:
-                        yield from run_collective(ctx, collective, algorithm, args, inputs[me])
+                    yield from run_collective(ctx, collective, algorithm, args, inputs[me])
                     mpi_total += ctx.time() - entered
             return ctx.time() - start, compute_total, mpi_total
 
-        run = run_processes(self.platform, prog, params=self.params, noise=self.noise)
+        outer = obs.current()
+        with obs.session(meta={"app": self.name, "collective": collective,
+                               "algorithm": algorithm},
+                         record_spans=True) as actx:
+            run = run_processes(self.platform, prog, params=self.params,
+                                noise=self.noise)
+            trace = TraceAnalysis.from_context(actx)
+            telemetry = obs.capture_telemetry(actx) if outer.enabled else None
+        if telemetry is not None:
+            obs.merge_telemetry(outer, telemetry, name=f"app/{self.name}")
         runtimes = np.array([r[0] for r in run.rank_results])
         return AppResult(
             runtime=float(runtimes.max()),
             rank_compute_time=np.array([r[1] for r in run.rank_results]),
             rank_mpi_time=np.array([r[2] for r in run.rank_results]),
             collective_calls=iterations * calls,
+            trace=trace,
         )

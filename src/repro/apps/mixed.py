@@ -16,10 +16,9 @@ This closes the loop: trace -> tune -> deploy table -> run application.
 The compute/phase loop itself lives in :mod:`repro.workloads.spec` — this
 app routes through :func:`~repro.workloads.spec.iteration_body`, so it
 supports every workload overlap mode (``sequential``/``split``/
-``interleaved``) and vector-collective phases.  :class:`Phase` is a
-deprecation shim kept for callers of the original API; new code should use
-:class:`~repro.workloads.spec.CollectivePhase` (same fields) or a full
-:class:`~repro.workloads.spec.WorkloadSpec` directly.
+``interleaved``) and vector-collective phases.  Phases are
+:class:`~repro.workloads.spec.CollectivePhase` values; a full
+:class:`~repro.workloads.spec.WorkloadSpec` can be run directly instead.
 """
 
 from __future__ import annotations
@@ -43,11 +42,6 @@ from repro.workloads.spec import (
     iteration_body,
 )
 
-#: Deprecation shim: ``Phase`` predates the workloads subsystem and is now
-#: the same value object (field-compatible: ``Phase(collective, msg_bytes,
-#: count=..., algorithm=...)``).
-Phase = CollectivePhase
-
 
 @dataclass
 class MixedAppResult:
@@ -65,7 +59,7 @@ class MixedProxyApp:
     """compute -> phase_1 -> phase_2 -> ... loop with table-driven algorithms."""
 
     platform: Platform
-    phases: tuple[Phase, ...]
+    phases: tuple[CollectivePhase, ...]
     iterations: int = 10
     compute_per_iteration: float = 1e-3
     params: NetworkParams = field(default_factory=NetworkParams)
@@ -96,7 +90,7 @@ class MixedProxyApp:
             **kwargs,
         )
 
-    def resolve_algorithm(self, phase: Phase) -> str:
+    def resolve_algorithm(self, phase: CollectivePhase) -> str:
         """Priority: explicit -> selection table -> fixed decision logic."""
         return _resolve(phase, self.platform.num_ranks, self.table)
 
@@ -144,4 +138,4 @@ class MixedProxyApp:
         )
 
 
-__all__ = ["Phase", "MixedProxyApp", "MixedAppResult"]
+__all__ = ["MixedProxyApp", "MixedAppResult"]

@@ -23,7 +23,7 @@ _FIG_COLLECTIVES = ("reduce", "allreduce", "alltoall")
 
 
 def _add_common(parser: argparse.ArgumentParser, machine_default: str = "hydra",
-                nodes_default: int = 16, obs_trace: bool = True) -> None:
+                nodes_default: int = 16) -> None:
     parser.add_argument("--machine", default=machine_default,
                         help=f"machine preset (default: {machine_default})")
     parser.add_argument("--nodes", type=int, default=nodes_default)
@@ -52,11 +52,10 @@ def _add_common(parser: argparse.ArgumentParser, machine_default: str = "hydra",
                         "fast-path hits, events/s) to stderr when done; worker "
                         "processes report their runs back, so --jobs > 1 "
                         "counts everything")
-    if obs_trace:
-        parser.add_argument("--trace-out", default=None, metavar="PATH",
-                            dest="obs_trace_out",
-                            help="export a Perfetto/Chrome trace_event JSON of "
-                            "this run (open at ui.perfetto.dev)")
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        dest="obs_trace_out",
+                        help="export a Perfetto/Chrome trace_event JSON of "
+                        "this run (open at ui.perfetto.dev)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         dest="obs_metrics_out",
                         help="export the run's metrics snapshot (counters, "
@@ -155,17 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ptrace = sub.add_parser(
         "trace",
-        help="run a proxy application under the tracer; write trace + pattern files",
+        help="run a proxy application; write its trace (default app.trace) "
+        "and the reconstructed arrival-pattern file",
     )
-    # obs_trace=False: this command's own --trace-out is the *application*
-    # collective trace; the Perfetto export is still available via profile.
-    _add_common(ptrace, machine_default="galileo100", nodes_default=8,
-                obs_trace=False)
+    _add_common(ptrace, machine_default="galileo100", nodes_default=8)
     ptrace.add_argument("--app", choices=["ft", "cg"], default="ft")
     ptrace.add_argument("--algorithm", default=None,
                         help="collective algorithm the app uses (default: app's)")
     ptrace.add_argument("--iterations", type=int, default=20)
-    ptrace.add_argument("--trace-out", default="app.trace", metavar="PATH")
     ptrace.add_argument("--pattern-out", default="app.pattern", metavar="PATH")
 
     ptune = sub.add_parser(
@@ -401,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(command: str, args: argparse.Namespace) -> str:
+def _run_figure(command: str, args: argparse.Namespace):
+    """Run one figure/extension experiment; returns ``(module, result)``."""
     if command == "fig1":
         from repro.experiments import fig1_ft_trace as mod
         result = mod.run(_config(args))
@@ -439,11 +436,56 @@ def _run_one(command: str, args: argparse.Namespace) -> str:
         result = mod.run(_config(args))
     else:
         raise ValueError(f"unknown figure {command!r}")
+    return mod, result
+
+
+def _run_one(command: str, args: argparse.Namespace) -> str:
+    mod, result = _run_figure(command, args)
     if getattr(args, "json", None):
         from repro.reporting.export import results_to_json
 
         results_to_json(args.json, result)
     return mod.report(result)
+
+
+def _run_all(args: argparse.Namespace) -> None:
+    """The ``all`` command: every figure, then Tables I and II.
+
+    ``--json`` writes one object keyed by figure (``"fig1"``,
+    ``"fig4/alltoall"``, ..., ``"fig9"``).
+    """
+    results: dict[str, object] = {}
+
+    def run(fig: str, key: str | None = None) -> None:
+        mod, result = _run_figure(fig, args)
+        results[key or fig] = result
+        print(mod.report(result))
+        print()
+
+    # Fig. 1 is the paper's Galileo100 trace; the application study
+    # (Figs. 7-9) runs at its calibrated 8-node scale.
+    saved_machine, saved_nodes = args.machine, args.nodes
+    args.machine, args.nodes = "galileo100", min(args.nodes, 8)
+    run("fig1")
+    args.machine, args.nodes = saved_machine, saved_nodes
+    for fig in ("fig2", "fig3"):
+        run(fig)
+    for fig in ("fig4", "fig5", "fig6"):
+        for collective in _FIG_COLLECTIVES:
+            args.collective = collective
+            run(fig, f"{fig}/{collective}")
+    args.machines = ["hydra", "galileo100", "discoverer"]
+    args.nodes = min(args.nodes, 8)  # application-study scale (see fig7 help)
+    for fig in ("fig7", "fig8", "fig9"):
+        run(fig)
+    args.nodes = saved_nodes
+    print(tables.table1())
+    print()
+    print(tables.table2())
+    if args.json:
+        from repro.reporting.export import results_to_json
+
+        results_to_json(args.json, results)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -906,12 +948,6 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
         from repro.apps import CGProxy, FTProxy
         from repro.patterns import write_pattern_file
         from repro.sim.platform import get_machine
-        from repro.tracing import (
-            CollectiveTracer,
-            max_observed_skew,
-            pattern_from_trace,
-            write_trace,
-        )
 
         config = _config(args)
         spec = get_machine(config.machine)
@@ -928,21 +964,16 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
                                        iterations=args.iterations)
             if args.algorithm:
                 app.algorithm = args.algorithm
-        tracer = CollectiveTracer()
-        app_result = app.run(tracer)
+        app_result = app.run()
         coll = app.collective
-        p = config.num_ranks
-        pattern = pattern_from_trace(tracer, coll, p,
-                                     name=f"{args.app}_scenario")
-        write_trace(args.trace_out, tracer,
-                    metadata={"app": args.app, "machine": config.machine,
-                              "algorithm": app.algorithm})
+        calls = app_result.trace.calls(coll)
+        pattern = app_result.trace.arrival_pattern(
+            coll, name=f"{args.app}_scenario")
         write_pattern_file(args.pattern_out, pattern)
         print(f"{args.app} runtime: {app_result.runtime * 1e3:.2f} ms "
               f"(MPI fraction {app_result.mpi_fraction:.2f})")
-        print(f"traced {tracer.num_calls(coll)} {coll} calls; max skew "
-              f"{max_observed_skew(tracer, coll, p) * 1e6:.1f} us")
-        print(f"wrote trace: {args.trace_out}")
+        print(f"traced {len(calls)} {coll} calls; max skew "
+              f"{max(c.arrival_spread for c in calls) * 1e6:.1f} us")
         print(f"wrote pattern: {args.pattern_out}")
     elif command == "tune":
         from repro.bench.campaign import TuningCampaign
@@ -982,31 +1013,7 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
     elif command == "all":
-        # Fig. 1 is the paper's Galileo100 trace; the application study
-        # (Figs. 7-9) runs at its calibrated 8-node scale.
-        saved_machine, saved_nodes0 = args.machine, args.nodes
-        args.machine, args.nodes = "galileo100", min(args.nodes, 8)
-        print(_run_one("fig1", args))
-        print()
-        args.machine, args.nodes = saved_machine, saved_nodes0
-        for fig in ("fig2", "fig3"):
-            print(_run_one(fig, args))
-            print()
-        for fig in ("fig4", "fig5", "fig6"):
-            for collective in _FIG_COLLECTIVES:
-                args.collective = collective
-                print(_run_one(fig, args))
-                print()
-        args.machines = ["hydra", "galileo100", "discoverer"]
-        saved_nodes = args.nodes
-        args.nodes = min(args.nodes, 8)  # application-study scale (see fig7 help)
-        for fig in ("fig7", "fig8", "fig9"):
-            print(_run_one(fig, args))
-            print()
-        args.nodes = saved_nodes
-        print(tables.table1())
-        print()
-        print(tables.table2())
+        _run_all(args)
     elif command == "serve":
         return _cmd_serve(args)
     elif command == "query":
@@ -1033,8 +1040,9 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     started = time.time()
     trace_out = getattr(args, "obs_trace_out", None)
-    if command == "profile" and trace_out is None:
-        trace_out = "profile_trace.json"
+    if trace_out is None:
+        trace_out = {"profile": "profile_trace.json",
+                     "trace": "app.trace"}.get(command)
     metrics_out = getattr(args, "obs_metrics_out", None)
     verbose = getattr(args, "verbose", False)
     # Every command with harness knobs runs inside an observability session:

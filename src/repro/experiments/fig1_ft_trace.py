@@ -2,8 +2,8 @@
 
 The paper traces FT on Galileo100 with 32 x 32 ranks and plots the mean
 arrival delay (relative to each call's first-arriving rank) per rank.  We
-run the FT proxy on the ``galileo100`` preset, trace every Alltoall, and
-report the same series.
+run the FT proxy on the ``galileo100`` preset, reduce the rank spans of
+every Alltoall it recorded, and report the same series.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.apps.ft import FTProxy
 from repro.experiments.common import ExperimentConfig
 from repro.reporting.ascii import render_series, render_table
 from repro.sim.platform import get_machine
-from repro.tracing import CollectiveTracer, average_delay_per_rank, max_observed_skew
 
 
 @dataclass
@@ -37,15 +36,14 @@ def run(config: ExperimentConfig | None = None) -> Fig1Result:
         seed=config.seed,
         iterations=5 if config.fast else 20,
     )
-    tracer = CollectiveTracer()
-    app_result = ft.run(tracer)
-    p = config.num_ranks
+    app_result = ft.run()
+    calls = app_result.trace.calls("alltoall")
     return Fig1Result(
         machine=config.machine,
-        num_ranks=p,
-        calls_traced=tracer.num_calls("alltoall"),
-        avg_delay_per_rank=average_delay_per_rank(tracer, "alltoall", p),
-        max_skew=max_observed_skew(tracer, "alltoall", p),
+        num_ranks=config.num_ranks,
+        calls_traced=len(calls),
+        avg_delay_per_rank=app_result.trace.arrival_pattern("alltoall").skews,
+        max_skew=max(c.arrival_spread for c in calls),
         ft_runtime=app_result.runtime,
     )
 

@@ -5,15 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.apps import MixedProxyApp, Phase
+from repro.apps import MixedProxyApp
 from repro.collectives.tuned import fixed_decision
 from repro.selection import SelectionTable
 from repro.sim.platform import Platform, get_machine
+from repro.workloads import CollectivePhase
 
 PHASES = (
-    Phase("alltoall", 32768.0, count=16),
-    Phase("allreduce", 8.0, count=8),
-    Phase("bcast", 1024.0, count=16),
+    CollectivePhase("alltoall", 32768.0, count=16),
+    CollectivePhase("allreduce", 8.0, count=8),
+    CollectivePhase("bcast", 1024.0, count=16),
 )
 
 
@@ -26,26 +27,26 @@ class TestResolution:
     def test_explicit_algorithm_wins(self, plat):
         app = MixedProxyApp(
             platform=plat,
-            phases=(Phase("alltoall", 64.0, algorithm="bruck"),),
+            phases=(CollectivePhase("alltoall", 64.0, algorithm="bruck"),),
         )
         assert app.resolve_algorithm(app.phases[0]) == "bruck"
 
     def test_table_overrides_fixed_rules(self, plat):
         table = SelectionTable()
         table.add_rule("alltoall", plat.num_ranks, 0.0, "pairwise")
-        app = MixedProxyApp(platform=plat, phases=(Phase("alltoall", 64.0),),
+        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),),
                             table=table)
         assert app.resolve_algorithm(app.phases[0]) == "pairwise"
 
     def test_fallback_to_fixed_rules(self, plat):
-        app = MixedProxyApp(platform=plat, phases=(Phase("alltoall", 64.0),))
+        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),))
         expected = fixed_decision("alltoall", plat.num_ranks, 64.0)
         assert app.resolve_algorithm(app.phases[0]) == expected
 
     def test_table_missing_collective_falls_back(self, plat):
         table = SelectionTable()
         table.add_rule("reduce", plat.num_ranks, 0.0, "binomial")
-        app = MixedProxyApp(platform=plat, phases=(Phase("alltoall", 64.0),),
+        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),),
                             table=table)
         expected = fixed_decision("alltoall", plat.num_ranks, 64.0)
         assert app.resolve_algorithm(app.phases[0]) == expected
@@ -90,4 +91,4 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             MixedProxyApp(platform=plat, phases=PHASES, iterations=0)
         with pytest.raises(ConfigurationError):
-            Phase("alltoall", -1.0)
+            CollectivePhase("alltoall", -1.0)

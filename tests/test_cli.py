@@ -73,6 +73,38 @@ class TestMain:
         out = capsys.readouterr().out
         assert "traced" in out and "max skew" in out
 
+    def test_all_json_keeps_every_figure(self, capsys, tmp_path, monkeypatch):
+        """``all --json`` writes one object keyed by figure, not the last one."""
+        import importlib
+
+        figures = ("fig1_ft_trace", "fig2_notation", "fig3_patterns",
+                   "fig4_simulation", "fig5_runtimes", "fig6_robustness",
+                   "fig7_ft_vs_micro", "fig8_normalized", "fig9_prediction")
+        for name in figures:
+            mod = importlib.import_module(f"repro.experiments.{name}")
+
+            def run(config, _fig=name.split("_")[0], **kwargs):
+                return {"fig": _fig, "machine": config.machine,
+                        "nodes": config.nodes, **kwargs}
+
+            monkeypatch.setattr(mod, "run", run)
+            monkeypatch.setattr(mod, "report", lambda result: "stub")
+        out = tmp_path / "all.json"
+        assert main(["all", "--fast", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == [
+            "fig1", "fig2", "fig3",
+            "fig4/reduce", "fig4/allreduce", "fig4/alltoall",
+            "fig5/reduce", "fig5/allreduce", "fig5/alltoall",
+            "fig6/reduce", "fig6/allreduce", "fig6/alltoall",
+            "fig7", "fig8", "fig9",
+        ]
+        assert payload["fig1"] == {"fig": "fig1", "machine": "galileo100",
+                                   "nodes": 8}
+        assert payload["fig4/alltoall"]["collective"] == "alltoall"
+        assert payload["fig9"]["nodes"] == 8
+        assert payload["fig3"]["nodes"] == 16
+
     def test_tune_writes_rules(self, capsys, tmp_path):
         code = main([
             "tune", "--nodes", "2", "--cores", "4",
@@ -272,8 +304,8 @@ class TestProfile:
                                   "--metrics-out", "m.json"])
         assert args.obs_trace_out == "t.json"
         assert args.obs_metrics_out == "m.json"
-        # The trace command keeps its app-trace flag; obs metrics still parse.
+        # The trace command's --trace-out is the same obs trace export.
         args = parser.parse_args(["trace", "--trace-out", "x.trace",
                                   "--metrics-out", "m.json"])
-        assert args.trace_out == "x.trace"
+        assert args.obs_trace_out == "x.trace"
         assert args.obs_metrics_out == "m.json"

@@ -308,11 +308,6 @@ class TestContention:
 
 
 class TestDeprecationShim:
-    def test_apps_phase_is_collective_phase(self):
-        from repro.apps.mixed import Phase
-
-        assert Phase is CollectivePhase
-
     def test_mixed_app_routes_through_overlap_modes(self):
         from repro.apps.mixed import MixedProxyApp
 
