@@ -87,7 +87,7 @@ def bench_engine_alltoall_1024(benchmark):
     routed through the hybrid flow engine.  The aligned single-collective
     program is provably flow-eligible, so the whole exchange collapses to
     one analytic batch — bit-identical exit times at a fraction of the
-    exact engine's ~9 s (see BENCH_engine.json history)."""
+    exact engine's ~9 s (see docs/performance.md)."""
     plat = Platform("t", nodes=128, cores_per_node=8)
     p = plat.num_ranks
     args = CollArgs(count=4, msg_bytes=1024.0)

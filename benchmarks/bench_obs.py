@@ -16,9 +16,10 @@ engine targets:
   bulk-phase regime the flow engine accelerates.  Recording there is one
   vectorized aggregate pass per batch, not per message.
 
-``check_obs_overhead.py`` compares the pair medians and warns when the
-enabled-mode overhead exceeds its budget (10%), and diffs both against
-the committed ``BENCH_obs.json`` baseline.
+``check_bench.py`` pairs each ``*_linked`` bench with its ``*_untraced``
+twin and warns when the enabled-mode overhead exceeds the linked entry's
+tolerance (10%), and diffs every median against the ``obs`` entries of
+the committed ``BENCH.json`` baseline.
 
 The session opens *inside* the timed job so every iteration pays the
 full lifecycle (fresh ring, recording, teardown) — the honest cost a

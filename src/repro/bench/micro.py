@@ -79,9 +79,6 @@ class MicroBenchmark:
         path where provably bit-exact, exact otherwise), or ``"flow"``
         (always flow — analytic approximation under skew).  See
         :mod:`repro.sim.flow`.
-    flow_tolerance:
-        Hybrid-mode arrival-spread tolerance in seconds; patterns whose
-        declared skew spread exceeds it take the exact path.
     """
 
     platform: Platform
@@ -94,7 +91,6 @@ class MicroBenchmark:
     harmonize_slack: float = 1e-3
     machine_name: str = ""
     engine_mode: str = "exact"
-    flow_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if self.nrep <= 0:
@@ -108,8 +104,6 @@ class MicroBenchmark:
                 f"unknown engine_mode {self.engine_mode!r}; "
                 f"expected one of {ENGINE_MODES}"
             )
-        if self.flow_tolerance < 0:
-            raise ConfigurationError("flow_tolerance must be non-negative")
         get_noise_profile(self.noise_profile)  # validate early
 
     @classmethod
@@ -233,7 +227,6 @@ class MicroBenchmark:
             )
             flow = FlowConfig(
                 mode=self.engine_mode,
-                tolerance=self.flow_tolerance,
                 declared_spread=declared,
             )
         with octx.wall_span(

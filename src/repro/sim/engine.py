@@ -592,8 +592,8 @@ class Engine:
             stats.events_rendezvous += n_rndv
             stats.wall_seconds += perf_counter() - started
             stats.runs += 1
-            # Reports into the run-scoped obs session (if any) and the
-            # legacy process-wide accumulator (if enabled).
+            # Reports into the run-scoped obs session (a no-op when none
+            # is active).
             _absorb_engine_stats(stats)
         blocked = [p.rank for p in self.procs if not p.done]
         if blocked:

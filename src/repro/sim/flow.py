@@ -5,8 +5,8 @@ discrete event — perfect fidelity, but a 16k-rank linear alltoall is ~256M
 messages and hopeless at one heap pop per message.  This module adds the
 escape hatch: collectives *declare* the regular bulk phases of their
 schedules via :func:`phase_descriptor` plans, and when every rank of a
-communicator reaches such a phase together (arrival spread within the
-configured tolerance), the engine collapses the whole phase into **one
+communicator reaches such a phase together (aligned entries, or any
+entries where the replay is skew-exact), the engine collapses the whole phase into **one
 event per rank** — a :class:`FlowGate` that blocks all ranks, replays the
 phase's port-claim recurrences with vectorized numpy, writes the port state
 back, and resumes every rank at its computed exit time.
@@ -58,9 +58,8 @@ otherwise it falls back to exact per-message simulation and bumps the
   power-of-two communicators, ring allreduce only for ``count >= p``,
   linear alltoall only below the eager threshold);
 * for linear plans, and for stepped plans on shared-port platforms: the
-  declared arrival spread of the run's pattern is within
-  ``FlowConfig.tolerance`` (default 0.0 — perfectly aligned phases), and
-  the gate re-checks the *actual* entry spread at resolution, raising
+  declared arrival spread of the run's pattern is zero (perfectly aligned
+  phases), and the gate re-checks the *actual* entry spread at resolution, raising
   :class:`SimulationError` if the declaration was violated; stepped plans
   on private-port platforms are skew-exact and skip both checks;
 * the platform is link-class uniform, unless the plan sets ``hetero_ok``
@@ -92,12 +91,9 @@ class FlowConfig:
     ----------
     mode:
         ``"exact"`` — never; ``"hybrid"`` — where a plan exists *and* the
-        declared arrival spread is within ``tolerance``; ``"flow"`` — on
-        every planned phase regardless of skew (analytic approximation).
-    tolerance:
-        Maximum declared arrival spread (seconds) the hybrid dispatcher
-        accepts.  0.0 (the default) admits only perfectly aligned phases,
-        the regime where the replay is provably bit-identical.
+        replay is provably bit-identical (aligned entries, or a stepped
+        plan on private ports); ``"flow"`` — on every planned phase
+        regardless of skew (analytic approximation).
     declared_spread:
         The arrival spread the harness *promises* for collective entries
         (``max(skew) - min(skew)`` of the pattern under a perfect clock).
@@ -109,7 +105,6 @@ class FlowConfig:
     """
 
     mode: str = "hybrid"
-    tolerance: float = 0.0
     declared_spread: float | None = None
     payloads: bool = True
 
@@ -118,8 +113,6 @@ class FlowConfig:
             raise ConfigurationError(
                 f"unknown engine mode {self.mode!r}; expected one of {ENGINE_MODES}"
             )
-        if self.tolerance < 0:
-            raise ConfigurationError("flow tolerance must be non-negative")
         if self.declared_spread is not None and self.declared_spread < 0:
             raise ConfigurationError("declared_spread must be non-negative")
 
@@ -695,13 +688,13 @@ class FlowGate:
             plan.kind == "linear" or not nt.private_ports
         ):
             spread = float(entries.max() - entries.min())
-            if spread > cfg.tolerance:
+            if spread > 0.0:
                 raise SimulationError(
                     f"flow gate for {plan.collective}/{plan.algorithm}: actual "
-                    f"entry spread {spread:.3g}s exceeds the hybrid tolerance "
-                    f"{cfg.tolerance:.3g}s — the declared pattern spread did "
-                    "not hold at this phase (collectives not separated by a "
-                    "harmonized barrier?); rerun with --engine-mode exact, or "
+                    f"entry spread {spread:.3g}s but hybrid mode needs aligned "
+                    "entries here — the declared zero spread did not hold at "
+                    "this phase (collectives not separated by a harmonized "
+                    "barrier?); rerun with --engine-mode exact, or "
                     "--engine-mode flow to accept an analytic approximation"
                 )
         state = _PortState(engine)
@@ -808,7 +801,7 @@ class FlowRuntime:
             # node ports need aligned entries to stay bit-exact.
             if cfg.declared_spread is None:
                 reason = "unknown_spread"
-            elif cfg.declared_spread > cfg.tolerance:
+            elif cfg.declared_spread > 0.0:
                 reason = "skew"
             elif plan.kind == "stepped" and not self._single_port_owner(plan, args):
                 # The vectorized stepped replay chains each shared node port

@@ -1,10 +1,8 @@
-"""Tests for the selection-service load generator and its regression gate."""
+"""Tests for the selection-service load generator."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,55 +138,7 @@ class TestRunSuite:
         json.dumps(payload)  # must be JSON-serializable as-is
 
     def test_default_workload_names_are_stable(self):
-        # The committed BENCH_service.json covers exactly these; renames
+        # The committed benchmarks/BENCH.json covers exactly these; renames
         # must update the baseline (the gate hard-fails otherwise).
         assert WORKLOADS == ("hot_cache", "cold_mix", "batch",
                              "reload_churn")
-
-
-def _load_gate():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" \
-        / "check_service_regression.py"
-    spec = importlib.util.spec_from_file_location("check_service", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestRegressionGate:
-    BASE = {"hot_cache": {"qps": 50000.0, "p99_us": 70.0, "errors": 0}}
-
-    def test_identical_run_is_clean(self):
-        gate = _load_gate()
-        errors, warnings = gate.compare(self.BASE, self.BASE, 0.4)
-        assert errors == [] and warnings == []
-
-    def test_coverage_drift_is_hard_error(self):
-        gate = _load_gate()
-        fresh = dict(self.BASE, extra={"qps": 1.0, "p99_us": 1.0,
-                                       "errors": 0})
-        errors, _ = gate.compare(fresh, self.BASE, 0.4)
-        assert any("extra" in e for e in errors)
-        errors, _ = gate.compare({}, self.BASE, 0.4)
-        assert any("hot_cache" in e for e in errors)
-
-    def test_query_errors_are_hard_errors(self):
-        gate = _load_gate()
-        fresh = {"hot_cache": {"qps": 50000.0, "p99_us": 70.0, "errors": 3}}
-        errors, _ = gate.compare(fresh, self.BASE, 0.4)
-        assert any("3 query error" in e for e in errors)
-
-    def test_perf_drift_only_warns(self):
-        gate = _load_gate()
-        fresh = {"hot_cache": {"qps": 10000.0, "p99_us": 700.0, "errors": 0}}
-        errors, warnings = gate.compare(fresh, self.BASE, 0.4)
-        assert errors == []
-        assert len(warnings) == 2   # QPS drop + p99 rise
-        assert all("::warning::" in w for w in warnings)
-
-    def test_committed_baseline_parses_and_covers_all_workloads(self):
-        gate = _load_gate()
-        baseline = gate.load_workloads(gate.BASELINE_PATH)
-        assert set(baseline) == set(WORKLOADS)
-        for row in baseline.values():
-            assert row["errors"] == 0
