@@ -6,19 +6,19 @@ message.  :class:`FTProxy` reproduces exactly that structure — iterative
 compute phases (FFT/evolve work, perturbed by machine noise) interleaved
 with transposition All-to-alls — so that realistic arrival patterns emerge
 endogenously from compute imbalance.  :class:`CGProxy` provides an
-Allreduce-dominant counterpart.
+Allreduce-dominant counterpart.  Both run through the workload loop of
+:mod:`repro.workloads.spec`; applications that mix several collectives are
+plain :class:`~repro.workloads.spec.WorkloadSpec` values, run with
+:func:`~repro.workloads.runner.run_workload`.
 """
 
 from repro.apps.base import AppResult, IterativeProxyApp
 from repro.apps.ft import FTProxy
 from repro.apps.cg import CGProxy
-from repro.apps.mixed import MixedAppResult, MixedProxyApp
 
 __all__ = [
     "AppResult",
     "IterativeProxyApp",
     "FTProxy",
     "CGProxy",
-    "MixedProxyApp",
-    "MixedAppResult",
 ]

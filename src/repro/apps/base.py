@@ -2,9 +2,11 @@
 
 An :class:`IterativeProxyApp` alternates noise-perturbed compute phases with
 collective calls — the skeleton of bulk-synchronous applications like the
-NAS benchmarks.  Per-rank compute and MPI time are accounted separately,
-standing in for the paper's mpisee profiling, and every run records its
-collective calls as obs rank spans, returned as a
+NAS benchmarks.  It runs as a warmup-free ``split``-overlap workload (one
+phase per collective call) through the shared per-rank loop,
+:func:`~repro.workloads.spec.workload_loop`.  Per-rank compute and MPI time
+are accounted separately, standing in for the paper's mpisee profiling, and
+every run records its collective calls as obs rank spans, returned as a
 :class:`~repro.obs.analysis.TraceAnalysis` for arrival-pattern extraction.
 """
 
@@ -16,12 +18,17 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.collectives import CollArgs, make_input, run_collective
 from repro.obs.analysis import TraceAnalysis
 from repro.sim.mpi import run_processes
 from repro.sim.network import NetworkParams
 from repro.sim.noise import NoiseModel
 from repro.sim.platform import MachineSpec, Platform
+from repro.workloads.spec import (
+    CollectivePhase,
+    WorkloadSpec,
+    build_plan,
+    workload_loop,
+)
 
 
 @dataclass
@@ -102,36 +109,23 @@ class IterativeProxyApp:
         metrics, engine stats and spans then fold into the enclosing session
         (if any) the way the executor folds a cell's telemetry.
         """
-        p = self.platform.num_ranks
-        args = CollArgs(count=self.count, msg_bytes=self.msg_bytes)
-        inputs = [make_input(self.collective, r, p, self.count) for r in range(p)]
-        compute_chunk = self.compute_per_iteration / self.calls_per_iteration
-        iterations = self.iterations
-        calls = self.calls_per_iteration
-        collective, algorithm = self.collective, self.algorithm
-
-        def prog(ctx):
-            me = ctx.rank
-            compute_total = 0.0
-            mpi_total = 0.0
-            yield from ctx.barrier()
-            start = ctx.time()
-            for _it in range(iterations):
-                for _call in range(calls):
-                    before = ctx.time()
-                    yield ctx.compute(compute_chunk)
-                    entered = ctx.time()
-                    compute_total += entered - before
-                    yield from run_collective(ctx, collective, algorithm, args, inputs[me])
-                    mpi_total += ctx.time() - entered
-            return ctx.time() - start, compute_total, mpi_total
+        phase = CollectivePhase(self.collective, self.msg_bytes,
+                                count=self.count, algorithm=self.algorithm)
+        spec = WorkloadSpec(
+            name=self.name, phases=(phase,) * self.calls_per_iteration,
+            iterations=self.iterations, warmup=0,
+            compute=self.compute_per_iteration, overlap="split",
+        )
+        plan = build_plan(spec.phases, self.platform.num_ranks)
 
         outer = obs.current()
-        with obs.session(meta={"app": self.name, "collective": collective,
-                               "algorithm": algorithm},
+        with obs.session(meta={"app": self.name, "collective": self.collective,
+                               "algorithm": self.algorithm},
                          record_spans=True) as actx:
-            run = run_processes(self.platform, prog, params=self.params,
-                                noise=self.noise)
+            run = run_processes(
+                self.platform, lambda ctx: workload_loop(ctx, spec, plan),
+                params=self.params, noise=self.noise,
+            )
             trace = TraceAnalysis.from_context(actx)
             telemetry = obs.capture_telemetry(actx) if outer.enabled else None
         if telemetry is not None:
@@ -139,8 +133,9 @@ class IterativeProxyApp:
         runtimes = np.array([r[0] for r in run.rank_results])
         return AppResult(
             runtime=float(runtimes.max()),
-            rank_compute_time=np.array([r[1] for r in run.rank_results]),
-            rank_mpi_time=np.array([r[2] for r in run.rank_results]),
-            collective_calls=iterations * calls,
+            rank_compute_time=np.array([r[2] for r in run.rank_results]),
+            rank_mpi_time=np.array([sum(r[1].values())
+                                    for r in run.rank_results]),
+            collective_calls=spec.iterations * len(spec.phases),
             trace=trace,
         )

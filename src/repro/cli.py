@@ -958,12 +958,11 @@ def _dispatch(command: str, args: argparse.Namespace) -> int:
                 algorithm=args.algorithm or "pairwise",
             )
         else:
-            app = CGProxy.from_machine(spec, nodes=config.nodes,
-                                       cores_per_node=config.cores_per_node,
-                                       seed=config.seed,
-                                       iterations=args.iterations)
-            if args.algorithm:
-                app.algorithm = args.algorithm
+            app = CGProxy.from_machine(
+                spec, nodes=config.nodes, cores_per_node=config.cores_per_node,
+                seed=config.seed, iterations=args.iterations,
+                algorithm=args.algorithm or CGProxy.algorithm,
+            )
         app_result = app.run()
         coll = app.collective
         calls = app_result.trace.calls(coll)

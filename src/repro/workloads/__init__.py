@@ -4,8 +4,8 @@ This package turns the single-scenario evaluation of the paper into a
 scenario *zoo*:
 
 * :mod:`repro.workloads.spec` — the declarative :class:`WorkloadSpec` model
-  (phases, schedules, compute, warmup, overlap modes) and the shared
-  iteration body every runner uses.
+  (phases, schedules, compute, warmup, overlap modes) and the one per-rank
+  loop every driver runs (:func:`~repro.workloads.spec.workload_loop`).
 * :mod:`repro.workloads.zoo` — registered built-in generators (PARAM-style
   sweeps, DLRM embedding alltoallv, DDP buckets, ragged allgatherv, the
   mixed timestep).
@@ -25,6 +25,7 @@ from repro.workloads.spec import (
     WorkloadSpec,
     build_plan,
     iteration_body,
+    workload_loop,
 )
 from repro.workloads.zoo import (
     WorkloadInfo,
@@ -52,6 +53,7 @@ __all__ = [
     "WorkloadSpec",
     "build_plan",
     "iteration_body",
+    "workload_loop",
     "WorkloadInfo",
     "register_workload",
     "list_workloads",

@@ -4,9 +4,10 @@ A workload run has two halves:
 
 1. **Loop simulation** — the whole workload (warmup + measured iterations,
    compute, overlap mode, optional arrival-pattern skew) runs as one
-   simulated program per rank, producing the end-to-end runtime, per-phase
-   MPI time, and — under an observability session — the trace that the
-   replay frontend can later reconstruct.
+   simulated program per rank (:func:`~repro.workloads.spec.workload_loop`),
+   producing the end-to-end runtime, per-phase MPI time, and — under an
+   observability session — the trace that the replay frontend can later
+   reconstruct.
 2. **Cell fan-out** — every phase becomes a :class:`~repro.bench.executor.CellSpec`
    executed through the shared :class:`~repro.bench.executor.CellExecutor`,
    so workload runs hit the same cache, obs-session merge, and tuning-store
@@ -30,7 +31,7 @@ from repro.patterns.generator import ArrivalPattern
 from repro.selection.table import SelectionTable
 from repro.sim.mpi import run_processes
 from repro.sim.noise import NoiseModel
-from repro.workloads.spec import WorkloadSpec, build_plan, iteration_body
+from repro.workloads.spec import WorkloadSpec, build_plan, workload_loop
 
 
 def resolve_algorithm(phase, num_ranks: int,
@@ -99,39 +100,21 @@ def run_workload(
     resolved = {key: algorithm for key, _c, algorithm, _a, _i in plan}
     noise = (NoiseModel(bench.noise_profile, p, seed=bench.seed)
              if bench.noise_profile != "none" else None)
+    # The arrival pattern skews each rank's entry into the measured loop;
+    # the precise per-pattern measurement happens in the phase cells below,
+    # where MicroBenchmark imposes skews per repetition.
     skews = pattern.skews if pattern is not None else None
-    warmup, measured = spec.warmup, spec.iterations
-    compute, overlap = spec.compute, spec.overlap
     octx = _obs_current()
-
-    def prog(ctx):
-        me = ctx.rank
-        my_plan = [(key, coll, algo, args, inputs[me])
-                   for key, coll, algo, args, inputs in plan]
-        phase_time = {key: 0.0 for key, *_ in plan}
-        yield from ctx.barrier()
-        for _it in range(warmup):
-            yield from iteration_body(ctx, my_plan, compute, overlap,
-                                      None, label_prefix=label)
-        yield from ctx.barrier()
-        # The arrival pattern skews each rank's entry into the measured
-        # loop; the precise per-pattern measurement happens in the phase
-        # cells below, where MicroBenchmark imposes skews per repetition.
-        if skews is not None:
-            yield ctx.sleep(float(skews[me]))
-        start = ctx.time()
-        for _it in range(measured):
-            yield from iteration_body(ctx, my_plan, compute, overlap,
-                                      phase_time, label_prefix=label)
-        return ctx.time() - start, phase_time
-
     with octx.wall_span(
         "workload.run", track="workload",
         args={"workload": spec.name, "phases": len(spec.phases),
-              "iterations": measured, "overlap": overlap},
+              "iterations": spec.iterations, "overlap": spec.overlap},
     ):
-        run = run_processes(bench.platform, prog, params=bench.params,
-                            noise=noise)
+        run = run_processes(
+            bench.platform,
+            lambda ctx: workload_loop(ctx, spec, plan, skews, label),
+            params=bench.params, noise=noise,
+        )
     if octx.enabled:
         octx.metrics.counter("workload.runs", {"workload": spec.name}).inc()
     runtime = float(max(r[0] for r in run.rank_results))

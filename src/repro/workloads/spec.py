@@ -8,7 +8,8 @@ excluded from measurement.  Three comm/compute *overlap modes* cover the
 structures real applications exhibit:
 
 * ``"sequential"`` — one compute block, then the phases back to back (the
-  classic bulk-synchronous timestep; what :mod:`repro.apps.mixed` models).
+  classic bulk-synchronous timestep, e.g. a CFD step's halo alltoall,
+  residual allreduce and control bcast).
 * ``"split"`` — the compute budget is divided evenly and a slice runs
   before each phase (gradient-bucket pipelining in data-parallel training).
 * ``"interleaved"`` — every phase runs on its own fiber concurrently with
@@ -16,7 +17,11 @@ structures real applications exhibit:
   collectives progressed by hardware offload).
 
 Specs are value objects: ``to_dict``/``from_dict`` round-trip exactly, so
-workloads serialize into run manifests and replay files.
+workloads serialize into run manifests and replay files.  Every driver —
+:func:`~repro.workloads.runner.run_workload`,
+:func:`~repro.workloads.contention.run_contended` and the FT/CG proxies of
+:mod:`repro.apps` — runs a spec through the one per-rank program,
+:func:`workload_loop`.
 """
 
 from __future__ import annotations
@@ -187,17 +192,18 @@ class WorkloadSpec:
 
 
 # --------------------------------------------------------------------------- #
-# Execution plan + shared iteration body
+# Execution plan + the shared per-rank loop
 # --------------------------------------------------------------------------- #
 
-def build_plan(phases, p: int, resolve) -> list[tuple]:
+def build_plan(phases, p: int, resolve=None) -> list[tuple]:
     """Resolve phases into ``(key, collective, algorithm, args, inputs)``.
 
-    ``resolve(phase)`` supplies the algorithm when the phase leaves it open.
-    Each phase gets its own tag stride so interleaved phases never
-    cross-match; ``inputs`` holds every rank's deterministic input.
-    Duplicate phase keys (same collective and size twice) are suffixed with
-    their index so accounting dictionaries stay per-phase.
+    ``resolve(phase)`` supplies the algorithm when the phase leaves it open
+    (only then is it needed).  Each phase gets its own tag stride so
+    interleaved phases never cross-match; ``inputs`` holds every rank's
+    deterministic input.  Duplicate phase keys (same collective and size
+    twice) are suffixed with their index so accounting dictionaries stay
+    per-phase.
     """
     plan = []
     seen: set[str] = set()
@@ -221,25 +227,41 @@ def build_plan(phases, p: int, resolve) -> list[tuple]:
     return plan
 
 
+@dataclass
+class LoopTotals:
+    """One rank's measured accumulators, summed in call order."""
+
+    phase_time: dict[str, float]
+    compute_time: float = 0.0
+
+
 def _phase_label(prefix: str | None, collective: str, algorithm: str):
     return f"{prefix}:{collective}/{algorithm}" if prefix else None
 
 
+def _compute(ctx, seconds: float, totals: LoopTotals | None):
+    before = ctx.time()
+    yield ctx.compute(seconds)
+    if totals is not None:
+        totals.compute_time += ctx.time() - before
+
+
 def iteration_body(ctx, plan, compute: float, overlap: str,
-                   phase_time: dict | None = None,
+                   totals: LoopTotals | None = None,
                    label_prefix: str | None = None):
     """Generator: one workload iteration on one rank.
 
     ``plan`` entries are ``(key, collective, algorithm, args, data)`` with
-    ``data`` already this rank's input.  ``phase_time`` (when given)
-    accumulates per-phase MPI seconds; ``label_prefix`` namespaces link
-    attribution (multi-job runs).  This is the single implementation of the
-    overlap modes — :class:`repro.apps.mixed.MixedProxyApp` and the
-    workload runner both route through it.
+    ``data`` already this rank's input.  ``totals`` (when given)
+    accumulates per-phase MPI seconds and compute seconds;
+    ``label_prefix`` namespaces link attribution (multi-job runs).  This is
+    the single implementation of the overlap modes; :func:`workload_loop`
+    runs it once per iteration.
     """
+    phase_time = totals.phase_time if totals is not None else None
     if overlap == "sequential":
         if compute > 0:
-            yield ctx.compute(compute)
+            yield from _compute(ctx, compute, totals)
         for key, collective, algorithm, args, data in plan:
             before = ctx.time()
             yield from run_collective(
@@ -252,7 +274,7 @@ def iteration_body(ctx, plan, compute: float, overlap: str,
         chunk = compute / len(plan)
         for key, collective, algorithm, args, data in plan:
             if chunk > 0:
-                yield ctx.compute(chunk)
+                yield from _compute(ctx, chunk, totals)
             before = ctx.time()
             yield from run_collective(
                 ctx, collective, algorithm, args, data,
@@ -274,7 +296,7 @@ def iteration_body(ctx, plan, compute: float, overlap: str,
 
             handles.append(ctx.start_fiber(comm))
         if compute > 0:
-            yield ctx.compute(compute)
+            yield from _compute(ctx, compute, totals)
         yield ctx.waitall(handles)
         if phase_time is not None:
             for handle in handles:
@@ -282,10 +304,43 @@ def iteration_body(ctx, plan, compute: float, overlap: str,
                 phase_time[key] += elapsed
 
 
+def workload_loop(ctx, spec: WorkloadSpec, plan, skews=None,
+                  label_prefix: str | None = None):
+    """Generator: one rank's whole workload program.
+
+    A barrier, ``spec.warmup`` unmeasured iterations (then a second barrier
+    if there were any), this rank's arrival skew ``skews[ctx.rank]`` as a
+    sleep, then ``spec.iterations`` measured iterations.  ``plan`` comes
+    from :func:`build_plan` (every rank's inputs); ``label_prefix`` is
+    passed to :func:`iteration_body`.  Returns ``(elapsed, phase_time,
+    compute_time)`` for the measured iterations: this rank's loop time, its
+    per-phase MPI seconds keyed like ``plan``, and its summed compute time.
+    """
+    me = ctx.rank
+    my_plan = [(key, coll, algo, args, inputs[me])
+               for key, coll, algo, args, inputs in plan]
+    yield from ctx.barrier()
+    for _it in range(spec.warmup):
+        yield from iteration_body(ctx, my_plan, spec.compute, spec.overlap,
+                                  label_prefix=label_prefix)
+    if spec.warmup:
+        yield from ctx.barrier()
+    if skews is not None:
+        yield ctx.sleep(float(skews[me]))
+    totals = LoopTotals({key: 0.0 for key, *_ in plan})
+    start = ctx.time()
+    for _it in range(spec.iterations):
+        yield from iteration_body(ctx, my_plan, spec.compute, spec.overlap,
+                                  totals, label_prefix)
+    return ctx.time() - start, totals.phase_time, totals.compute_time
+
+
 __all__ = [
     "OVERLAP_MODES",
     "CollectivePhase",
+    "LoopTotals",
     "WorkloadSpec",
     "build_plan",
     "iteration_body",
+    "workload_loop",
 ]

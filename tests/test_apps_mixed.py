@@ -1,15 +1,25 @@
-"""Tests for the mixed-collective, table-driven proxy application."""
+"""Tests for mixed-collective, table-driven application workloads.
+
+A timestep that mixes several collectives is a :class:`WorkloadSpec`; each
+phase's algorithm is resolved explicit → selection table → fixed rules by
+:func:`resolve_algorithm`, and :func:`run_workload` runs the loop.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.apps import MixedProxyApp
+from repro.bench import MicroBenchmark
 from repro.collectives.tuned import fixed_decision
 from repro.selection import SelectionTable
 from repro.sim.platform import Platform, get_machine
-from repro.workloads import CollectivePhase
+from repro.workloads import (
+    CollectivePhase,
+    WorkloadSpec,
+    resolve_algorithm,
+    run_workload,
+)
 
 PHASES = (
     CollectivePhase("alltoall", 32768.0, count=16),
@@ -17,46 +27,40 @@ PHASES = (
     CollectivePhase("bcast", 1024.0, count=16),
 )
 
-
-@pytest.fixture
-def plat():
-    return Platform("t", nodes=4, cores_per_node=4)
+P = 16
 
 
 class TestResolution:
-    def test_explicit_algorithm_wins(self, plat):
-        app = MixedProxyApp(
-            platform=plat,
-            phases=(CollectivePhase("alltoall", 64.0, algorithm="bruck"),),
-        )
-        assert app.resolve_algorithm(app.phases[0]) == "bruck"
-
-    def test_table_overrides_fixed_rules(self, plat):
+    def test_explicit_algorithm_wins(self):
         table = SelectionTable()
-        table.add_rule("alltoall", plat.num_ranks, 0.0, "pairwise")
-        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),),
-                            table=table)
-        assert app.resolve_algorithm(app.phases[0]) == "pairwise"
+        table.add_rule("alltoall", P, 0.0, "pairwise")
+        phase = CollectivePhase("alltoall", 64.0, algorithm="bruck")
+        assert resolve_algorithm(phase, P, table) == "bruck"
 
-    def test_fallback_to_fixed_rules(self, plat):
-        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),))
-        expected = fixed_decision("alltoall", plat.num_ranks, 64.0)
-        assert app.resolve_algorithm(app.phases[0]) == expected
-
-    def test_table_missing_collective_falls_back(self, plat):
+    def test_table_overrides_fixed_rules(self):
         table = SelectionTable()
-        table.add_rule("reduce", plat.num_ranks, 0.0, "binomial")
-        app = MixedProxyApp(platform=plat, phases=(CollectivePhase("alltoall", 64.0),),
-                            table=table)
-        expected = fixed_decision("alltoall", plat.num_ranks, 64.0)
-        assert app.resolve_algorithm(app.phases[0]) == expected
+        table.add_rule("alltoall", P, 0.0, "pairwise")
+        phase = CollectivePhase("alltoall", 64.0)
+        assert resolve_algorithm(phase, P, table) == "pairwise"
+
+    def test_fallback_to_fixed_rules(self):
+        phase = CollectivePhase("alltoall", 64.0)
+        assert resolve_algorithm(phase, P) == fixed_decision("alltoall", P, 64.0)
+
+    def test_table_missing_collective_falls_back(self):
+        table = SelectionTable()
+        table.add_rule("reduce", P, 0.0, "binomial")
+        phase = CollectivePhase("alltoall", 64.0)
+        assert resolve_algorithm(phase, P, table) == fixed_decision(
+            "alltoall", P, 64.0)
 
 
 class TestRun:
-    def test_accounting_per_phase(self, plat):
-        app = MixedProxyApp(platform=plat, phases=PHASES, iterations=3,
-                            compute_per_iteration=5e-4)
-        result = app.run()
+    def test_accounting_per_phase(self):
+        bench = MicroBenchmark(platform=Platform("t", nodes=4, cores_per_node=4))
+        spec = WorkloadSpec(name="mixed", phases=PHASES, iterations=3,
+                            warmup=0, compute=5e-4)
+        result = run_workload(spec, bench, cells=False)
         assert result.runtime > 0
         assert set(result.resolved) == {
             "alltoall@32768B", "allreduce@8B", "bcast@1024B"
@@ -66,8 +70,8 @@ class TestRun:
         assert result.dominant_phase == "alltoall@32768B"
 
     def test_tuned_table_end_to_end(self):
-        """Campaign -> table -> mixed app resolves from the campaign."""
-        from repro.bench import MicroBenchmark, TuningCampaign
+        """Campaign -> table -> mixed workload resolves from the campaign."""
+        from repro.bench import TuningCampaign
 
         spec = get_machine("hydra")
         bench = MicroBenchmark.from_machine(spec, nodes=4, cores_per_node=4, nrep=1)
@@ -76,19 +80,18 @@ class TestRun:
             shapes=("first_delayed", "random"),
         )
         campaign_result = campaign.run()
-        app = MixedProxyApp.from_machine(
-            spec, PHASES, nodes=4, cores_per_node=4,
-            table=campaign_result.table, iterations=2,
-        )
-        result = app.run()
+        mixed = WorkloadSpec(name="mixed", phases=PHASES, iterations=2,
+                             warmup=0, compute=1e-3)
+        result = run_workload(mixed, bench, table=campaign_result.table,
+                              cells=False)
         assert result.resolved["alltoall@32768B"] == campaign_result.winners[
             ("alltoall", 32768.0)
         ]
 
-    def test_validation(self, plat):
+    def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MixedProxyApp(platform=plat, phases=())
+            WorkloadSpec(name="mixed", phases=())
         with pytest.raises(ConfigurationError):
-            MixedProxyApp(platform=plat, phases=PHASES, iterations=0)
+            WorkloadSpec(name="mixed", phases=PHASES, iterations=0)
         with pytest.raises(ConfigurationError):
             CollectivePhase("alltoall", -1.0)

@@ -73,6 +73,22 @@ class TestMain:
         out = capsys.readouterr().out
         assert "traced" in out and "max skew" in out
 
+    def test_trace_cg_with_algorithm(self, capsys, tmp_path):
+        from repro.obs.analysis import TraceAnalysis
+
+        code = main([
+            "trace", "--app", "cg", "--algorithm", "ring", "--nodes", "2",
+            "--cores", "2", "--iterations", "3",
+            "--trace-out", str(tmp_path / "cg.trace"),
+            "--pattern-out", str(tmp_path / "cg.pattern"),
+        ])
+        assert code == 0
+        assert (tmp_path / "cg.pattern").exists()
+        calls = TraceAnalysis.from_file(tmp_path / "cg.trace").calls()
+        assert len(calls) == 3 * 2
+        assert {c.name for c in calls} == {"allreduce/ring"}
+        assert "traced 6 allreduce calls" in capsys.readouterr().out
+
     def test_all_json_keeps_every_figure(self, capsys, tmp_path, monkeypatch):
         """``all --json`` writes one object keyed by figure, not the last one."""
         import importlib
