@@ -154,6 +154,32 @@ def bench_engine_allreduce_8192(benchmark):
     assert result.final_time > 0
 
 
+def bench_engine_alltoall_512_results(benchmark):
+    """A 512-rank pairwise Alltoall through the hybrid engine with payloads
+    on — the result-build layer of flow resolve.  Every other hybrid bench
+    runs ``payloads=False``; here each rank gets its reference result, built
+    once for the whole batch."""
+    plat = Platform("t", nodes=512, cores_per_node=1)
+    p = plat.num_ranks
+    args = CollArgs(count=1, msg_bytes=1024.0)
+    inputs = [make_input("alltoall", r, p, 1) for r in range(p)]
+
+    def prog(ctx):
+        return (yield from run_collective(ctx, "alltoall", "pairwise", args,
+                                          inputs[ctx.rank]))
+
+    def job():
+        return run_processes(plat, prog,
+                             flow=FlowConfig(mode="hybrid", declared_spread=0.0))
+
+    result = benchmark(job)
+    assert 0 < result.events_processed <= 4 * p
+    # make_input puts ``dst + 100_000 * src + 1`` in src's block for dst.
+    assert result.rank_results[p - 1][:, 0].tolist() == [
+        100_000 * src + p for src in range(p)
+    ]
+
+
 @scale_only
 def bench_engine_alltoall_16384_flow(benchmark):
     """A 16384-rank pairwise Alltoall (~268M messages) in forced flow mode —

@@ -30,6 +30,7 @@ from repro.collectives.api import (
     make_input,
     make_vector_input,
     reference_result,
+    reference_results,
     run_collective,
 )
 
@@ -66,6 +67,7 @@ __all__ = [
     "make_input",
     "make_vector_input",
     "reference_result",
+    "reference_results",
     "run_collective",
     "VECTOR_FAMILIES",
     "VectorArgs",

@@ -181,7 +181,6 @@ def _ring_flow(p, args, net):
         kind="stepped",
         collective="allgather",
         algorithm="ring",
-        hetero_ok=True,
         est_messages=p * (p - 1),
         num_steps=p - 1,
         steps=steps,

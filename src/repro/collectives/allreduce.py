@@ -286,7 +286,6 @@ def _recursive_doubling_flow(p, args, net):
         kind="stepped",
         collective="allreduce",
         algorithm="recursive_doubling",
-        hetero_ok=True,
         est_messages=p * rounds,
         num_steps=rounds,
         steps=steps,
@@ -321,7 +320,6 @@ def _ring_flow(p, args, net):
         kind="stepped",
         collective="allreduce",
         algorithm="ring",
-        hetero_ok=True,
         est_messages=2 * p * (p - 1),
         num_steps=2 * (p - 1),
         steps=steps,

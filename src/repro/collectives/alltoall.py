@@ -170,7 +170,6 @@ def _basic_linear_flow(p, args, net):
         kind="linear",
         collective="alltoall",
         algorithm="basic_linear",
-        hetero_ok=True,
         est_messages=p * (p - 1),
         msg_bytes=float(args.msg_bytes),
     )
@@ -190,7 +189,6 @@ def _pairwise_flow(p, args, net):
         kind="stepped",
         collective="alltoall",
         algorithm="pairwise",
-        hetero_ok=True,
         est_messages=p * (p - 1),
         num_steps=p - 1,
         steps=steps,

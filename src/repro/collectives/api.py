@@ -5,12 +5,15 @@ suite one uniform way to drive any registered collective:
 
 * :func:`make_input` — deterministic per-rank input of the right shape,
 * :func:`run_collective` — dispatch by (family, algorithm-name),
-* :func:`reference_result` — the semantically defined result, computed
-  directly from all inputs (what MPI guarantees, independent of algorithm).
+* :func:`reference_results` — every rank's semantically defined result,
+  computed directly from all inputs in one pass (what MPI guarantees,
+  independent of algorithm); :func:`reference_result` picks one rank's.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -108,9 +111,11 @@ def run_collective(ctx: ProcContext, collective: str, algorithm: str, args: Coll
         body = None
         runtime = engine.flow_runtime
         if runtime is not None:
+            # A flow batch hands every rank its entry of one
+            # reference_results call over all the batch's inputs.
             body = runtime.dispatch(
                 ctx, collective, algorithm, args, data,
-                _flow_result_fn(collective, args),
+                lambda inputs: reference_results(collective, inputs, args),
             )
         if body is None:
             body = info.fn(ctx, args, data)
@@ -133,87 +138,82 @@ def run_collective(ctx: ProcContext, collective: str, algorithm: str, args: Coll
             engine.activity = prev_activity
 
 
-def _flow_result_fn(collective: str, args: CollArgs):
-    """Per-rank result builder for flow-batched collectives.
-
-    The gate collects every rank's input; the batch resolver calls this
-    once with the full input list and distributes ``out[rank]`` as each
-    rank's collective result — :func:`reference_result` by construction,
-    which every exact algorithm is already validated against.
-    """
-
-    def result_fn(inputs):
-        return [
-            reference_result(collective, inputs, args, rank)
-            for rank in range(len(inputs))
-        ]
-
-    return result_fn
+def _fold(op, inputs: Sequence) -> np.ndarray:
+    """The rank-order left fold ``op(...op(op(x0, x1), x2)..., x[p-1])``."""
+    return functools.reduce(
+        op, map(np.asarray, inputs[1:]), np.asarray(inputs[0]).copy()
+    )
 
 
-def reference_result(
-    collective: str, inputs: Sequence[np.ndarray], args: CollArgs, rank: int
-):
-    """The MPI-semantics result of ``collective`` for ``rank``.
+def _prefix_folds(op, inputs: Sequence) -> list[np.ndarray]:
+    """Every rank's inclusive prefix of :func:`_fold`, each its own copy."""
+    running = itertools.accumulate(
+        map(np.asarray, inputs[1:]), op, initial=np.asarray(inputs[0]).copy()
+    )
+    return [acc.copy() for acc in running]
 
-    ``inputs`` holds every rank's input (index = rank).  Used by the test
-    suite to validate every algorithm against the standard's definition.
+
+def _at_root(value, root: int, size: int) -> list:
+    """``value`` at rank ``root``, ``None`` at every other rank."""
+    out = [None] * size
+    out[root] = value
+    return out
+
+
+def reference_results(collective: str, inputs: Sequence,
+                      args: CollArgs | VectorArgs) -> list:
+    """Every rank's MPI-semantics result of ``collective``, built in one pass.
+
+    ``inputs`` holds every rank's input (index = rank); entry ``r`` of the
+    returned list is rank ``r``'s result, ``None`` where MPI delivers
+    nothing.  Results built here never share memory between ranks, while
+    bcast, scatter and the vector families hand out the input blocks
+    themselves (or views of them).  This is the oracle every algorithm is
+    validated against, and the result the flow fast path distributes.
     """
     size = len(inputs)
+    root = args.root
     if collective == "bcast":
-        return np.asarray(inputs[args.root])
+        return [np.asarray(inputs[root])] * size
     if collective == "reduce":
-        if rank != args.root:
-            return None
-        acc = np.asarray(inputs[0]).copy()
-        for contrib in inputs[1:]:
-            acc = args.op(acc, np.asarray(contrib))
-        return acc
+        return _at_root(_fold(args.op, inputs), root, size)
     if collective == "allreduce":
-        acc = np.asarray(inputs[0]).copy()
-        for contrib in inputs[1:]:
-            acc = args.op(acc, np.asarray(contrib))
-        return acc
+        acc = _fold(args.op, inputs)
+        return [acc.copy() for _ in range(size)]
     if collective == "alltoall":
-        return np.stack([np.asarray(inputs[src])[rank] for src in range(size)])
+        return list(np.stack(inputs, axis=1))
     if collective == "allgather":
-        return np.stack([np.asarray(inputs[src]) for src in range(size)])
+        stacked = np.stack(inputs)
+        return [stacked.copy() for _ in range(size)]
     if collective == "gather":
-        if rank != args.root:
-            return None
-        return np.stack([np.asarray(inputs[src]) for src in range(size)])
+        return _at_root(np.stack(inputs), root, size)
     if collective == "scatter":
-        return np.asarray(inputs[args.root])[rank]
+        return list(np.asarray(inputs[root]))
     if collective == "reduce_scatter":
-        total = np.asarray(inputs[0]).copy()
-        for contrib in inputs[1:]:
-            total = args.op(total, np.asarray(contrib))
-        return total[rank * args.count : (rank + 1) * args.count]
+        total, n = _fold(args.op, inputs), args.count
+        return [total[r * n:(r + 1) * n] for r in range(size)]
     if collective == "scan":
-        acc = np.asarray(inputs[0]).copy()
-        for contrib in inputs[1 : rank + 1]:
-            acc = args.op(acc, np.asarray(contrib))
-        return acc
+        return _prefix_folds(args.op, inputs)
     if collective == "exscan":
-        if rank == 0:
-            return None
-        acc = np.asarray(inputs[0]).copy()
-        for contrib in inputs[1:rank]:
-            acc = args.op(acc, np.asarray(contrib))
-        return acc
+        return [None] + _prefix_folds(args.op, inputs)[:-1]
     if collective == "barrier":
-        return None
+        return [None] * size
     if collective == "alltoallv":
-        return [np.asarray(inputs[src][rank]) for src in range(size)]
+        return [list(map(np.asarray, blocks)) for blocks in zip(*inputs)]
     if collective == "allgatherv":
-        return [np.asarray(inputs[src]) for src in range(size)]
+        blocks = [np.asarray(block) for block in inputs]
+        return [list(blocks) for _ in range(size)]
     if collective == "gatherv":
-        if rank != args.root:
-            return None
-        return [np.asarray(inputs[src]) for src in range(size)]
+        return _at_root([np.asarray(block) for block in inputs], root, size)
     if collective == "scatterv":
-        return np.asarray(inputs[args.root][rank])
+        return [np.asarray(block) for block in inputs[root]]
     raise ConfigurationError(f"unknown collective family {collective!r}")
+
+
+def reference_result(collective: str, inputs: Sequence,
+                     args: CollArgs | VectorArgs, rank: int):
+    """Rank ``rank``'s entry of :func:`reference_results`."""
+    return reference_results(collective, inputs, args)[rank]
 
 
 __all__ = [
@@ -222,4 +222,5 @@ __all__ = [
     "make_vector_input",
     "run_collective",
     "reference_result",
+    "reference_results",
 ]

@@ -142,7 +142,6 @@ def _bruck_flow(p, args, net):
         kind="stepped",
         collective="barrier",
         algorithm="bruck",
-        hetero_ok=True,
         est_messages=p * rounds,
         num_steps=rounds,
         steps=steps,

@@ -3,7 +3,7 @@
 Intended for users extending the library with new algorithms: one call
 sweeps every registered algorithm over a grid of rank counts (including
 awkward non-powers-of-two), roots, and segmentation settings, comparing the
-produced data against :func:`repro.collectives.api.reference_result`.
+produced data against :func:`repro.collectives.api.reference_results`.
 Exposed on the CLI as ``repro-mpi selfcheck``.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collectives.api import make_input, reference_result
+from repro.collectives.api import make_input, reference_results
 from repro.collectives.base import CollArgs, get_algorithm, list_algorithms, list_collectives
 from repro.sim.mpi import run_processes
 from repro.sim.platform import Platform
@@ -69,8 +69,7 @@ def _check_one(collective: str, algorithm: str, size: int, count: int,
     except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
         return (f"{collective}/{algorithm} p={size} root={root} "
                 f"seg={segment_bytes}: raised {type(exc).__name__}: {exc}")
-    for rank in range(size):
-        expected = reference_result(collective, inputs, args, rank)
+    for rank, expected in enumerate(reference_results(collective, inputs, args)):
         got = run.rank_results[rank]
         if expected is None:
             if got is not None:

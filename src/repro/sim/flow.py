@@ -62,9 +62,6 @@ otherwise it falls back to exact per-message simulation and bumps the
   phases), and the gate re-checks the *actual* entry spread at resolution, raising
   :class:`SimulationError` if the declaration was violated; stepped plans
   on private-port platforms are skew-exact and skip both checks;
-* the platform is link-class uniform, unless the plan sets ``hetero_ok``
-  (ring-structured and linear schedules keep single-owner port access on
-  hetero platforms; pairwise/XOR schedules do not);
 * the call happens on the rank's main fiber (overlapped fibers keep exact
   ordering semantics).
 """
@@ -101,7 +98,10 @@ class FlowConfig:
         hybrid fast path entirely.
     payloads:
         When False, flow-path collectives return ``None`` instead of the
-        reference result — scale benchmarks skip the O(p^2) payload work.
+        reference result.  With payloads on, each batch builds every rank's
+        result in one vectorized pass; turning them off saves the memory
+        those results take (O(p^2) for alltoall and allgather), which the
+        largest-scale benchmarks need.
     """
 
     mode: str = "hybrid"
@@ -134,18 +134,14 @@ class FlowPlan:
     self) then ``p-1`` sends to ``(rank+off) % p``, each of ``msg_bytes``
     eager bytes, one terminal waitall.
 
-    ``hetero_ok`` asserts the schedule keeps single-owner access to every
-    shared node port on multi-core nodes (at most one rank per node sends
-    inter-node per step); plans without it only run on link-class-uniform
-    platforms.  ``est_messages`` is the total point-to-point message count
-    the plan replaces — the basis of the ``flow.fallback_messages`` and
+    ``est_messages`` is the total point-to-point message count the plan
+    replaces — the basis of the ``flow.fallback_messages`` and
     ``flow.messages_collapsed`` counters.
     """
 
     kind: str
     collective: str
     algorithm: str
-    hetero_ok: bool
     est_messages: int
     num_steps: int = 0
     msg_bytes: float = 0.0
@@ -199,7 +195,7 @@ class _NetTables:
 
     __slots__ = (
         "p", "node_of", "group_of", "lat", "inv_bw", "shared", "rx_ser",
-        "o", "ro", "eager_max", "uniform", "multi_group", "private_ports",
+        "o", "ro", "eager_max", "multi_group", "private_ports",
     )
 
     def __init__(self, engine: Engine) -> None:
@@ -220,16 +216,7 @@ class _NetTables:
         self.multi_group = bool(np.unique(self.group_of).size > 1) and (
             net.group_lat != net.inter_lat or net.group_inv_bw != net.inter_inv_bw
         )
-        # Link-class uniformity: every possible message shares one (latency,
-        # bandwidth) class.  True when all ranks share a node (all intra) or
-        # every rank owns its node (all inter) with no distinct group tier.
         nodes_used = int(np.unique(self.node_of).size)
-        if nodes_used == 1:
-            self.uniform = True
-        elif nodes_used == p:
-            self.uniform = not self.multi_group
-        else:
-            self.uniform = False
         # Private ports: no port is claimed by more than one rank — either
         # NICs are per-rank, all traffic is intra-node (node ports unused),
         # or each node hosts a single rank.  This is the domain where
@@ -790,9 +777,7 @@ class FlowRuntime:
         cfg = self.config
         nt = self.net_tables
         reason = None
-        if not plan.hetero_ok and not nt.uniform:
-            reason = "hetero"
-        elif cfg.mode == "hybrid" and (
+        if cfg.mode == "hybrid" and (
             plan.kind == "linear" or not nt.private_ports
         ):
             # Stepped plans on private-port platforms are order-insensitive
@@ -802,7 +787,7 @@ class FlowRuntime:
             if cfg.declared_spread is None:
                 reason = "unknown_spread"
             elif cfg.declared_spread > 0.0:
-                reason = "skew"
+                reason = "spread"
             elif plan.kind == "stepped" and not self._single_port_owner(plan, args):
                 # The vectorized stepped replay chains each shared node port
                 # as one sequence; two ranks claiming the same port would
@@ -815,8 +800,7 @@ class FlowRuntime:
                 # "no_plan" calls from the early returns above.
                 self.fallback_calls += 1
                 self.fallback_messages += plan.est_messages
-            self._count_fallback(ctx, "spread" if reason == "skew" else reason,
-                                 plan.est_messages)
+            self._count_fallback(ctx, reason, plan.est_messages)
             return None
         signature = (collective, algorithm, p, args.count, args.msg_bytes, args.tag)
         return self._flow_body(ctx, plan, signature, result_fn, data)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import repro.collectives  # noqa: F401
-from repro.collectives import CollArgs, make_input, reference_result
+from repro.collectives import (
+    CollArgs, make_input, reference_result, reference_results,
+)
 from repro.collectives.nonblocking import icollective, wait_collective
 from repro.sim.mpi import run_processes
 from repro.sim.platform import Platform
@@ -107,8 +109,9 @@ class TestNonblockingCollectives:
             return result
 
         run = run_processes(plat, prog)
-        for rank in range(p):
-            expected = reference_result(collective, inputs, args, rank)
+        for rank, expected in enumerate(
+            reference_results(collective, inputs, args)
+        ):
             if expected is None:
                 assert run.rank_results[rank] is None
             else:

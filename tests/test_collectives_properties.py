@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.collectives  # noqa: F401 - populate registry
-from repro.collectives import SUM, list_algorithms, reference_result
+from repro.collectives import SUM, list_algorithms, reference_results
 from tests.helpers import run_collective_all_ranks
 
 _slow = settings(
@@ -58,8 +58,7 @@ def test_alltoall_is_matrix_transpose(size, count, algo):
     results, _, args, inputs = run_collective_all_ranks(
         "alltoall", algo, size, count=count
     )
-    for rank in range(size):
-        expected = reference_result("alltoall", inputs, args, rank)
+    for rank, expected in enumerate(reference_results("alltoall", inputs, args)):
         assert np.array_equal(results[rank], expected)
 
 

@@ -169,7 +169,9 @@ def _assert_hybrid_bitwise(plat, seq, skews, declared, expect_flow):
     for a, b in zip(exact.rank_results, hybrid.rank_results):
         if a is None and b is None:
             continue
-        assert np.array_equal(np.asarray(a), np.asarray(b))
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert np.array_equal(a, b)
     engaged = hybrid.events_processed < exact.events_processed
     assert engaged == expect_flow, (
         f"expected engage={expect_flow}, events "

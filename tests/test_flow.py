@@ -110,18 +110,16 @@ def test_seq_chain_busy_port_serializes():
 
 
 @pytest.mark.parametrize(
-    "plat,private,uniform",
+    "plat,private",
     [
-        (HETERO, False, False),   # multi-rank nodes + shared NIC + two classes
-        (UNIFORM, True, True),    # one rank per node: all inter, private ports
-        (INTRA, True, True),      # one node: all intra, node ports unused
+        (HETERO, False),   # multi-rank nodes + shared NIC + two classes
+        (UNIFORM, True),   # one rank per node: all inter, private ports
+        (INTRA, True),     # one node: all intra, node ports unused
     ],
 )
-def test_net_tables_port_privacy(plat, private, uniform):
+def test_net_tables_port_privacy(plat, private):
     engine, _ = build_engine(plat, flow=FlowConfig(mode="hybrid"))
-    nt = engine.flow_runtime.net_tables
-    assert nt.private_ports is private
-    assert nt.uniform is uniform
+    assert engine.flow_runtime.net_tables.private_ports is private
 
 
 # --------------------------------------------------------------------- #
